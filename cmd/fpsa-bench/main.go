@@ -9,6 +9,7 @@
 //	fpsa-bench -exp figure8            # one artifact
 //	fpsa-bench -exp serving -batch 32  # serving throughput at batch 32
 //	fpsa-bench -exp sharding           # 1/2/4-chip pipelined serving
+//	fpsa-bench -exp sharding -min-speedup 0.8  # pipeline-overlap floor
 //	fpsa-bench -exp sparsity           # dense vs bit-packed sparse kernel
 //	fpsa-bench -exp autotune           # per-layer autotuner vs uniform sweep
 //	fpsa-bench -exp faults             # stuck-cell fault injection, remap on/off
@@ -25,6 +26,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"slices"
 	"strings"
 
 	"fpsa"
@@ -37,6 +40,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the serving, sharding, sparsity, autotune, faults and fleet results as one JSON report (ignores -exp)")
 	baseline := flag.String("baseline", "", "rerun the JSON report and exit nonzero if serving throughput regressed against this BENCH_PR*.json snapshot")
 	regress := flag.Float64("regress", 0.10, "regression tolerance for -baseline (fraction below baseline that fails)")
+	minSpeedup := flag.Float64("min-speedup", 0, "with -exp sharding, run the sweep 5 times and exit nonzero when the median 2-chip speedup is below this (0 = no check; needs GOMAXPROCS >= 2)")
 	out := flag.String("out", "", "write output to this file instead of stdout")
 	list := flag.Bool("list", false, "list experiment ids")
 	flag.Parse()
@@ -50,6 +54,10 @@ func main() {
 	measured := id == "serving" || id == "sharding" || id == "sparsity"
 	if *batch != 0 && !measured && !*jsonOut && *baseline == "" {
 		fmt.Fprintln(os.Stderr, "fpsa-bench: -batch only applies to -exp serving/sharding/sparsity, -json, or -baseline")
+		os.Exit(1)
+	}
+	if *minSpeedup != 0 && (id != "sharding" || *jsonOut || *baseline != "") {
+		fmt.Fprintln(os.Stderr, "fpsa-bench: -min-speedup only applies to -exp sharding")
 		os.Exit(1)
 	}
 	var text string
@@ -67,6 +75,8 @@ func main() {
 		}
 	case id == "serving":
 		text, err = fpsa.RunServingExperiment(ctx, *batch)
+	case id == "sharding" && *minSpeedup > 0:
+		text, err = runShardingFloor(ctx, *batch, *minSpeedup)
 	case id == "sharding":
 		text, err = fpsa.RunShardingExperiment(ctx, *batch)
 	case id == "sparsity":
@@ -128,6 +138,46 @@ func runBaseline(ctx context.Context, path string, batch, samples int, tol float
 	for _, r := range regressions {
 		fmt.Fprintf(&b, "  REGRESSION: %s\n", r)
 	}
+	fmt.Print(b.String())
+	os.Exit(1)
+	return "", nil
+}
+
+// runShardingFloor repeats the sharding experiment and checks the
+// pipeline-overlap property on the median 2-chip speedup: with at least
+// two cores, cutting the model across two pipelined chips must not fall
+// below floor × the single-chip throughput. One wall-clock run on a
+// shared host is noise; the median of several, run alone, is a check.
+// It exits nonzero when the floor is missed.
+func runShardingFloor(ctx context.Context, batch int, floor float64) (string, error) {
+	const reps = 5 // sweeps the median is taken over
+	if procs := runtime.GOMAXPROCS(0); procs < 2 {
+		return "", fmt.Errorf("-min-speedup needs GOMAXPROCS >= 2 for the chips to overlap, have %d", procs)
+	}
+	var b strings.Builder
+	speedups := make([]float64, 0, reps)
+	for i := 0; i < reps; i++ {
+		r, err := fpsa.ShardingBench(ctx, fpsa.ShardingBenchOptions{Batch: batch, Mode: fpsa.ModeSpiking})
+		if err != nil {
+			return "", err
+		}
+		fmt.Fprintf(&b, "run %d/%d: ", i+1, reps)
+		b.WriteString(r.String())
+		for _, row := range r.Rows {
+			if row.RealChips == 2 {
+				speedups = append(speedups, row.Speedup)
+			}
+		}
+	}
+	if len(speedups) != reps {
+		return "", fmt.Errorf("sharding sweep realized a 2-chip row in %d of %d runs", len(speedups), reps)
+	}
+	median := slices.Sorted(slices.Values(speedups))[reps/2]
+	fmt.Fprintf(&b, "2-chip speedup: median %.2fx over %d runs %.2f\n", median, reps, speedups)
+	if median >= floor {
+		return b.String(), nil
+	}
+	fmt.Fprintf(&b, "FAIL: median 2-chip speedup %.2fx below the %.2fx floor\n", median, floor)
 	fmt.Print(b.String())
 	os.Exit(1)
 	return "", nil

@@ -332,6 +332,21 @@ func (v *version) count() (replicas, depth int) {
 	return len(v.replicas), depth
 }
 
+// routeReplicas returns the replica count admission sizes against,
+// starting from v, a version loaded from the route. A swap can tear v down
+// right after re-pointing the route; the torn-down pool is empty, and
+// must not shrink the limit to one, so the route is followed instead.
+func (m *model) routeReplicas(v *version) int {
+	for {
+		n, _ := v.count()
+		next := m.cur.Load()
+		if n > 0 || next == v {
+			return n
+		}
+		v = next
+	}
+}
+
 // model is one served model: its current version (atomic route pointer),
 // the source that mints replicas for scale-up, and its serving counters.
 type model struct {
@@ -511,8 +526,7 @@ func (f *Fleet) Infer(ctx context.Context, name, tenant string, features []float
 			defer ts.inflight.Add(-1)
 		}
 	}
-	replicas, _ := m.cur.Load().count()
-	limit := admitLimit(cls, replicas, m.cfg.QueueDepth)
+	limit := admitLimit(cls, m.routeReplicas(m.cur.Load()), m.cfg.QueueDepth)
 	if m.inflight.Add(1) > limit {
 		m.inflight.Add(-1)
 		m.overload.Add(1)

@@ -190,3 +190,29 @@ func TestSwapReplicaFactoryFailure(t *testing.T) {
 		t.Fatalf("old version not serving after aborted swap: %+v, %v", res, err)
 	}
 }
+
+// TestAdmissionFollowsSwappedRoute pins admission sizing against a swap
+// that tears down the version a request loaded before admission: the
+// limit comes from the route's live pool, not the emptied one (which
+// would clamp the limit to one and shed a burst of requests mid-swap).
+func TestAdmissionFollowsSwappedRoute(t *testing.T) {
+	f := New(slowTestOptions())
+	defer f.Close()
+	if err := f.AddModel("m", (&fakeSource{marker: 1, window: 4}).Source(), ModelConfig{Replicas: 3}); err != nil {
+		t.Fatal(err)
+	}
+	m, err := f.lookup("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := m.cur.Load()
+	if _, err := f.Swap(context.Background(), "m", (&fakeSource{marker: 2, window: 4}).Source()); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := old.count(); n != 0 {
+		t.Fatalf("swapped-out version still holds %d replicas", n)
+	}
+	if got := m.routeReplicas(old); got != 3 {
+		t.Fatalf("admission sized by %d replicas, want the live pool's 3", got)
+	}
+}

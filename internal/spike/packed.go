@@ -1,6 +1,9 @@
 package spike
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // PackedTrain is a spike train bit-packed into 64-cycle lanes: bit t%64 of
 // word t/64 reports a spike in cycle t. It is the storage format behind the
@@ -67,18 +70,35 @@ func (p PackedTrain) Capacity() int { return len(p) * 64 }
 // bit-identical to Pack(UniformTrain(count, window)) — pinned by
 // TestPackedUniformMatchesPack and FuzzPackRoundTrip.
 func PackedUniform(count, window int) PackedTrain {
-	count = Clamp(count, window)
 	p := make(PackedTrain, Lanes(window))
-	AppendUniform(p, count, window, 0, 1)
+	fillUniform(p, Clamp(count, window), window)
 	return p
 }
 
-// AppendUniform OR-s the spikes of UniformTrain(count, window) into dst,
-// placing cycle t at bit (t*stride+offset)%64 of word (t*stride+offset)/64.
-// With offset 0, stride 1 this fills a single packed train; the xbar
-// kernels use stride = lanes-per-timestep layouts to build timestep-major
-// masks. count must already be clamped to [0, window].
-func AppendUniform(dst []uint64, count, window, offset, stride int) {
+// uniformTables memoizes UniformTable per window.
+var uniformTables sync.Map // int → []uint64
+
+// UniformTable returns the packed trains of every count 0..window:
+// entry c is PackedUniform(c, window), stored at words
+// [c·Lanes(window), (c+1)·Lanes(window)). The table is built once per
+// window per process and shared; callers must not modify it. The xbar
+// packed kernel looks trains up here instead of regenerating them.
+func UniformTable(window int) []uint64 {
+	if t, ok := uniformTables.Load(window); ok {
+		return t.([]uint64)
+	}
+	lanes := Lanes(window)
+	t := make([]uint64, (window+1)*lanes)
+	for c := 1; c <= window; c++ {
+		fillUniform(t[c*lanes:(c+1)*lanes], c, window)
+	}
+	shared, _ := uniformTables.LoadOrStore(window, t)
+	return shared.([]uint64)
+}
+
+// fillUniform ORs the spikes of UniformTrain(count, window) into the
+// packed train dst. count must already be clamped to [0, window].
+func fillUniform(dst []uint64, count, window int) {
 	if count <= 0 {
 		return
 	}
@@ -92,7 +112,6 @@ func AppendUniform(dst []uint64, count, window, offset, stride int) {
 			return
 		}
 		acc += n*count - window
-		bit := t*stride + offset
-		dst[bit>>6] |= 1 << uint(bit&63)
+		dst[t>>6] |= 1 << uint(t&63)
 	}
 }

@@ -123,27 +123,25 @@ func TestPackedTrainCanonical(t *testing.T) {
 	}
 }
 
-func TestAppendUniformStride(t *testing.T) {
-	// The strided variant places cycle t of unit u at bit t*stride+u —
-	// the timestep-major mask layout the packed kernels build. Check a
-	// two-unit layout against the per-unit packed trains.
-	const window, units = 64, 2
-	stride := 64 * Lanes(units)
-	dst := make([]uint64, Lanes(units)*window)
-	AppendUniform(dst, 3, window, 0, stride)
-	AppendUniform(dst, 64, window, 1, stride)
-	t3, tAll := PackedUniform(3, window), PackedUniform(64, window)
-	for cyc := 0; cyc < window; cyc++ {
-		for u := 0; u < units; u++ {
-			bit := cyc*stride + u
-			got := dst[bit>>6]&(1<<uint(bit&63)) != 0
-			want := t3.Get(cyc)
-			if u == 1 {
-				want = tAll.Get(cyc)
+func TestUniformTable(t *testing.T) {
+	// Every entry is the packed uniform train of its count, and the
+	// table is built once per window and shared.
+	for _, window := range []int{1, 63, 64, 65, 256} {
+		tab := UniformTable(window)
+		lanes := Lanes(window)
+		if len(tab) != (window+1)*lanes {
+			t.Fatalf("window %d: table has %d words, want %d", window, len(tab), (window+1)*lanes)
+		}
+		for count := 0; count <= window; count++ {
+			want := PackedUniform(count, window)
+			for l, w := range want {
+				if got := tab[count*lanes+l]; got != w {
+					t.Fatalf("UniformTable(%d)[count %d] lane %d = %#x, want %#x", window, count, l, got, w)
+				}
 			}
-			if got != want {
-				t.Fatalf("strided appendUniform: unit %d cycle %d = %v, want %v", u, cyc, got, want)
-			}
+		}
+		if &UniformTable(window)[0] != &tab[0] {
+			t.Fatalf("window %d: second UniformTable call rebuilt the table", window)
 		}
 	}
 }

@@ -237,3 +237,56 @@ func TestRunBatchValidation(t *testing.T) {
 		t.Errorf("Program.RunBatch(empty) = %v", err)
 	}
 }
+
+// TestRunBatchAllocs is the deterministic allocation gate on batched
+// execution: on the perfbench conv-batch network (2×10×10 → conv 8@3×3 →
+// ReLU → maxpool 2 → GAP → FC 4 → ReLU, weights ±1/fan-in from seed 9),
+// a warm spiking executor allocates exactly the B+1 result slices per
+// RunBatch of B = 16 — the crossbar kernels and stage buffers reuse
+// their scratch.
+func TestRunBatchAllocs(t *testing.T) {
+	g := cgraph.New("convbench")
+	x := g.MustAdd("input", cgraph.Input{Shape: cgraph.Shape{C: 2, H: 10, W: 10}})
+	x = g.MustAdd("conv", cgraph.Conv2D{OutC: 8, Kernel: 3, Stride: 1, Pad: 1}, x)
+	x = g.MustAdd("relu1", cgraph.ReLU{}, x)
+	x = g.MustAdd("pool", cgraph.Pool{PoolKind: cgraph.MaxPoolKind, Kernel: 2, Stride: 2}, x)
+	x = g.MustAdd("gap", cgraph.GlobalAvgPool{}, x)
+	x = g.MustAdd("fc", cgraph.FC{Out: 4}, x)
+	g.MustAdd("relu2", cgraph.ReLU{}, x)
+	rng := rand.New(rand.NewSource(9))
+	mk := func(rows, cols int) [][]float64 {
+		w := make([][]float64, rows)
+		for r := range w {
+			w[r] = make([]float64, cols)
+			for c := range w[r] {
+				w[r][c] = (rng.Float64()*2 - 1) / float64(rows)
+			}
+		}
+		return w
+	}
+	weights := map[string][][]float64{"conv": mk(2*3*3, 8), "fc": mk(8, 4)}
+	opts := DefaultOptions()
+	opts.Weights = func(l string) [][]float64 { return weights[l] }
+	_, prog, err := Compile(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := NewExecutor(prog, RunOptions{Mode: ModeSpiking})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const B = 16
+	inputs := batchInputs(rng, B, 2*10*10, opts.Params.SamplingWindow())
+	run := func() {
+		if _, err := exec.RunBatch(inputs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the stage and kernel scratch
+	if allocs := testing.AllocsPerRun(10, run); allocs != B+1 {
+		t.Fatalf("RunBatch(%d): %v allocs per warm call, want %d", B, allocs, B+1)
+	}
+	if st := exec.KernelStats(); st.SparseBatches == 0 {
+		t.Fatalf("conv network took no packed kernel calls: %+v", st)
+	}
+}

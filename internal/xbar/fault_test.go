@@ -75,12 +75,9 @@ func faultedArms(t *testing.T, seed int64, rows, cols int, faultBytes []byte, no
 // assertSameConductances requires bit-identical programmed state.
 func assertSameConductances(t *testing.T, faulted, byHand *Crossbar) {
 	t.Helper()
-	for k := range byHand.posG {
-		if math.Float64bits(faulted.posG[k]) != math.Float64bits(byHand.posG[k]) {
-			t.Fatalf("posG[%d]: faulted %x, masked-by-hand %x", k, faulted.posG[k], byHand.posG[k])
-		}
-		if math.Float64bits(faulted.negG[k]) != math.Float64bits(byHand.negG[k]) {
-			t.Fatalf("negG[%d]: faulted %x, masked-by-hand %x", k, faulted.negG[k], byHand.negG[k])
+	for k := range byHand.pnG {
+		if math.Float64bits(faulted.pnG[k]) != math.Float64bits(byHand.pnG[k]) {
+			t.Fatalf("pnG[%d]: faulted %x, masked-by-hand %x", k, faulted.pnG[k], byHand.pnG[k])
 		}
 	}
 }

@@ -219,308 +219,266 @@ func (c *Crossbar) probeDensity(src []int, batch int) float64 {
 
 // simulateCountsPacked is the sparsity-aware spiking kernel: the same
 // cycle-level integrate-and-fire/subtracter semantics as the dense kernel,
-// restructured around bit-packed firing masks so that work scales with
-// spike events instead of with rows×Γ×cols.
+// restructured so that work scales with spike events instead of with
+// rows×Γ×cols.
 //
 // Per batch item it
 //
-//  1. collapses the input rows into drive units — every row with a zero
-//     count drops out; when the programmed conductances are exact-sum
-//     (integer-valued and bounded, see Program) rows with equal counts
-//     share one unit whose conductance rows are pre-summed, because equal
-//     counts produce identical Bresenham trains and integer sums are
-//     order-independent, so the per-cycle drive is bit-identical either
-//     way. With inexact (noisy) conductances every firing row stays its
-//     own unit in ascending row order, preserving the dense float
-//     accumulation order exactly;
-//  2. builds a timestep-major firing mask (Γ × Lanes(units) words) with
-//     the jump-Bresenham generator and flattens it into an event list:
-//     the live cycles and, per live cycle, the firing units in ascending
-//     order;
-//  3. accumulates the drive rows of each live cycle into a live×2·cols
-//     drive matrix — row-major streaming adds over the firing units in
-//     ascending order, exactly the dense kernel's accumulation order per
-//     column — and then walks each column independently: live cycles step
-//     the membrane/threshold/subtracter statements with the
-//     pre-accumulated drive, and the dead cycles between them are skipped
-//     wholesale once the column's membranes are below threshold. While a
-//     membrane is still at or above η the column steps through the
-//     zero-drive cycles one by one, because each such cycle really fires
-//     (the "hot drain"); adding a drive of 0.0 to a membrane is bit-exactly
-//     a no-op, so skipping cold cycles changes nothing. Columns whose
-//     conductances are zero in both polarities never accumulate drive and
-//     (for η > 0) never fire, so they are skipped entirely.
+//  1. collapses the input rows into drive units (buildUnits) — rows with
+//     a zero count drop out; on exact-sum crossbars (integer-valued,
+//     bounded conductances, see classifyProgramming) rows with an equal
+//     count of at least 2 share one unit whose conductance row is
+//     pre-summed, on inexact (noisy) ones every firing row stays its own
+//     unit in ascending row order;
+//  2. ORs each unit's spike train, looked up in the train table Program
+//     attached, into a live-cycle mask, zeroes the live rows of the
+//     Γ×2·cols drive matrix, and then, visiting units in ascending order,
+//     adds each unit's interleaved [P, N] conductance row into the drive
+//     row of every cycle it fires in;
+//  3. walks the active columns cycle by cycle over the live mask with a
+//     branch-free neuron/subtracter step. Zero-drive gap cycles are
+//     stepped only while some column is hot (a membrane at or above η
+//     fires even without drive); cold gaps are skipped.
 //
-// Every floating-point operation the dense kernel performs on a value that
-// could differ is performed here, per column, in the same order; every
-// skipped operation is provably a no-op. That is the sparse/dense
-// bit-exactness invariant the property and fuzz suites pin.
+// Bit-exactness with the dense kernel rests on four facts:
+//
+//   - for every (cycle, column) the adds happen in ascending unit order,
+//     which is the dense kernel's ascending row order (pre-summed groups
+//     exist only where every sum is an exact integer, so order is free);
+//   - zero-then-add is exactly what the dense kernel does for every
+//     cycle's drive;
+//   - a zero-drive step of a cold column is a no-op, so skipping a gap
+//     while no column is hot, and never walking a column without
+//     conductance while η > 0, changes nothing;
+//   - subtracting η·0.0 leaves a non-negative membrane unchanged, so the
+//     branch-free m -= η·float64(s) is the dense conditional subtraction.
+//
+// The property and fuzz suites pin the invariant.
 func (c *Crossbar) simulateCountsPacked(dst, src []int, batch int) {
-	window, cols := c.window, c.cols
-	// Column skip list only applies while η > 0; with η ≤ 0 every column
-	// fires every cycle, so all columns must be stepped.
+	window, cols, w := c.window, c.cols, 2*c.cols
+	lanes := spike.Lanes(window)
 	eta := c.eta
-	colIdx := c.activeCols
+	// With η ≤ 0 every column fires every cycle, zero columns included.
+	walk := c.activeCols
 	if eta <= 0 {
-		colIdx = nil
+		walk = c.allCols
 	}
+	c.drvAll = grow(c.drvAll, window*w)
+	c.live = grow(c.live, lanes)
+	c.neurons = grow(c.neurons, cols)
 	for b := 0; b < batch; b++ {
-		counts := src[b*c.rows : (b+1)*c.rows]
-		out := dst[b*cols : (b+1)*cols]
-		units := c.buildUnits(counts)
-		ulanes := spike.Lanes(units)
-		stride := 64 * ulanes
-		c.masks = grow(c.masks, window*ulanes)
-		for k := range c.masks {
-			c.masks[k] = 0
+		c.buildUnits(src[b*c.rows : (b+1)*c.rows])
+		clear(c.live)
+		for _, u := range c.units {
+			for l, word := range c.trainTab[u.count*lanes : (u.count+1)*lanes] {
+				c.live[l] |= word
+			}
 		}
-		for u := 0; u < units; u++ {
-			spike.AppendUniform(c.masks, c.unitCount[u], window, u, stride)
+		for l, word := range c.live {
+			for word != 0 {
+				t := l<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				clear(c.drvAll[t*w : (t+1)*w])
+			}
 		}
-		// Flatten the masks into the event list: evCycles holds the live
-		// cycles ascending, evUnits the firing units of each live cycle
-		// (ascending unit order), evStart the per-cycle offsets into it.
-		c.evCycles = c.evCycles[:0]
-		c.evStart = c.evStart[:0]
-		c.evUnits = c.evUnits[:0]
-		for t := 0; t < window; t++ {
-			m := c.masks[t*ulanes : (t+1)*ulanes]
-			live := false
-			for l, word := range m {
-				base := l << 6
+		for _, u := range c.units {
+			g := u.g[:w]
+			for l, word := range c.trainTab[u.count*lanes : (u.count+1)*lanes] {
 				for word != 0 {
-					u := base + bits.TrailingZeros64(word)
+					t := l<<6 | bits.TrailingZeros64(word)
 					word &= word - 1
-					if !live {
-						c.evCycles = append(c.evCycles, t)
-						c.evStart = append(c.evStart, len(c.evUnits))
-						live = true
-					}
-					c.evUnits = append(c.evUnits, u)
+					addRow(c.drvAll[t*w:(t+1)*w], g)
 				}
 			}
 		}
-		c.evStart = append(c.evStart, len(c.evUnits))
-		// Accumulate each live cycle's drives: positive at [li·2c, li·2c+c),
-		// negative at [li·2c+c, (li+1)·2c). The first firing unit writes,
-		// the rest add — 0 + g equals g bitwise, so the per-column sum
-		// order is exactly the dense kernel's.
-		c.drvAll = grow(c.drvAll, len(c.evCycles)*2*cols)
-		for li := range c.evCycles {
-			row := c.drvAll[li*2*cols : (li+1)*2*cols]
-			us := c.evUnits[c.evStart[li]:c.evStart[li+1]]
-			up, un := c.unitPos[us[0]], c.unitNeg[us[0]]
-			for j := 0; j < cols; j++ {
-				row[j] = up[j]
-				row[cols+j] = un[j]
-			}
-			for _, u := range us[1:] {
-				up, un = c.unitPos[u], c.unitNeg[u]
-				for j := 0; j < cols; j++ {
-					row[j] += up[j]
-					row[cols+j] += un[j]
+		clear(c.neurons)
+		next := 0 // first cycle not yet stepped
+		for l, word := range c.live {
+			for word != 0 {
+				t := l<<6 | bits.TrailingZeros64(word)
+				word &= word - 1
+				for ; next < t && anyHot(c.neurons, walk, eta); next++ {
+					stepColumns(c.neurons, c.zeroDrive, walk, eta)
 				}
+				stepColumns(c.neurons, c.drvAll[t*w:(t+1)*w], walk, eta)
+				next = t + 1
 			}
 		}
-		for j := 0; j < cols; j++ {
-			out[j] = 0
+		for ; next < window && anyHot(c.neurons, walk, eta); next++ {
+			stepColumns(c.neurons, c.zeroDrive, walk, eta)
 		}
-		if colIdx == nil {
-			for j := 0; j < cols; j++ {
-				out[j] = c.runColumnPacked(j, window, cols, eta)
-			}
-		} else {
-			for _, j := range colIdx {
-				out[j] = c.runColumnPacked(j, window, cols, eta)
-			}
+		out := dst[b*cols : (b+1)*cols]
+		clear(out)
+		for _, j := range walk {
+			out[j] = c.neurons[j].out
 		}
 	}
 }
 
-// colNeuron is one column's ideal neuron pair and subtracter state during
-// the packed walk. step is the exact statement sequence of the dense
-// kernel's per-column inner loop; step(0, 0) is the zero-drive cycle
-// (membranes never go negative, so += 0.0 is bitwise a no-op).
-type colNeuron struct {
+// addRow adds g into row element-wise, four lanes per iteration (the
+// compiler neither unrolls nor vectorizes); len(row) ≥ len(g).
+func addRow(row, g []float64) {
+	row = row[:len(g)]
+	k := 0
+	for ; k+4 <= len(g); k += 4 {
+		r, v := row[k:k+4:k+4], g[k:k+4:k+4]
+		r[0] += v[0]
+		r[1] += v[1]
+		r[2] += v[2]
+		r[3] += v[3]
+	}
+	for ; k < len(g); k++ {
+		row[k] += g[k]
+	}
+}
+
+// neuron is one column's ideal neuron pair and subtracter state during
+// the packed walk.
+type neuron struct {
 	memP, memN float64
 	debt, out  int
-	eta        float64
 }
 
-// hot reports whether a zero-drive cycle could still fire this column.
-func (n *colNeuron) hot() bool { return n.memP >= n.eta || n.memN >= n.eta }
-
-// step advances one cycle with the given drives.
-func (n *colNeuron) step(dP, dN float64) {
-	sp := false
-	if n.memP += dP; n.memP >= n.eta {
-		n.memP -= n.eta
-		sp = true
-	}
-	sn := false
-	if n.memN += dN; n.memN >= n.eta {
-		n.memN -= n.eta
-		sn = true
-	}
-	if sn {
-		n.debt++
-	}
-	if sp {
-		if n.debt > 0 {
-			n.debt--
-		} else {
-			n.out++
+// anyHot reports whether a zero-drive cycle could still fire one of the
+// walked columns.
+func anyHot(ns []neuron, walk []int, eta float64) bool {
+	for _, j := range walk {
+		if n := &ns[j]; n.memP >= eta || n.memN >= eta {
+			return true
 		}
+	}
+	return false
+}
+
+// stepColumns advances the walked columns one cycle under the interleaved
+// [P, N] drive row drv. It is the dense kernel's per-column statement
+// sequence without data-dependent branches: the fire flags are 0/1
+// integers, each membrane subtracts η times its flag, and the subtracter
+// pays a positive-side spike out of its debt arithmetically.
+func stepColumns(ns []neuron, drv []float64, walk []int, eta float64) {
+	for _, j := range walk {
+		n := &ns[j]
+		mP := n.memP + drv[2*j]
+		sp := 0
+		if mP >= eta {
+			sp = 1
+		}
+		n.memP = mP - eta*float64(sp)
+		mN := n.memN + drv[2*j+1]
+		sn := 0
+		if mN >= eta {
+			sn = 1
+		}
+		n.memN = mN - eta*float64(sn)
+		debt := n.debt + sn
+		paid := sp & int(uint(-debt)>>63) // sp && debt > 0; debt is never negative
+		n.debt = debt - paid
+		n.out += sp - paid
 	}
 }
 
-// runColumnPacked runs one column over the current event list and drive
-// matrix and returns its output spike count. Dead cycles are stepped only
-// while the column is hot; a live cycle whose drive happens to be zero for
-// this column is stepped only when hot, which is the same no-op argument.
-func (c *Crossbar) runColumnPacked(j, window, cols int, eta float64) int {
-	n := colNeuron{eta: eta}
-	prev := -1
-	for li, t := range c.evCycles {
-		for gap := t - prev - 1; gap > 0 && n.hot(); gap-- {
-			n.step(0, 0)
-		}
-		dP := c.drvAll[li*2*cols+j]
-		dN := c.drvAll[li*2*cols+cols+j]
-		if dP != 0 || dN != 0 || n.hot() {
-			n.step(dP, dN)
-		}
-		prev = t
-	}
-	for gap := window - 1 - prev; gap > 0 && n.hot(); gap-- {
-		n.step(0, 0)
-	}
-	return n.out
+// unit is one drive unit of the packed kernel: a firing count and the
+// interleaved [P, N] conductance row that fires with it, summed over the
+// unit's mult member rows, the first of which is row first.
+type unit struct {
+	g                  []float64
+	count, mult, first int
 }
 
-// buildUnits collapses one item's input counts into drive units (see
-// simulateCountsPacked) and returns the unit count. Unit conductance rows
-// land in c.unitPos/c.unitNeg, firing counts in c.unitCount.
-func (c *Crossbar) buildUnits(counts []int) int {
-	window, cols := c.window, c.cols
-	c.unitPos = c.unitPos[:0]
-	c.unitNeg = c.unitNeg[:0]
-	c.unitCount = c.unitCount[:0]
+// buildUnits collapses one item's input counts into c.units (see
+// simulateCountsPacked).
+func (c *Crossbar) buildUnits(counts []int) {
+	window, w := c.window, 2*c.cols
+	c.units = c.units[:0]
 	if !c.exactSums {
 		// Inexact conductances: one unit per firing row, ascending row
 		// order — the dense accumulation order, preserved bit for bit.
 		for i, cnt := range counts {
-			cnt = spike.Clamp(cnt, window)
-			if cnt == 0 {
-				continue
+			if cnt = spike.Clamp(cnt, window); cnt != 0 {
+				c.units = append(c.units, unit{g: c.pnG[i*w : (i+1)*w], count: cnt, mult: 1, first: i})
 			}
-			c.unitPos = append(c.unitPos, c.posG[i*cols:(i+1)*cols])
-			c.unitNeg = append(c.unitNeg, c.negG[i*cols:(i+1)*cols])
-			c.unitCount = append(c.unitCount, cnt)
 		}
-		return len(c.unitCount)
+		return
 	}
 	// Exact-sum conductances: group rows by firing count. Equal counts
 	// fire on identical cycles, and integer-valued conductances sum
 	// exactly in any order, so a pre-summed group row drives the column
-	// bit-identically to its member rows added one by one.
-	c.slotMult = grow(c.slotMult, window+1)
-	c.slotRow = grow(c.slotRow, window+1)
+	// bit-identically to its member rows added one by one. Rows firing
+	// once stay apart: pre-summing them costs as many adds as it saves.
+	// slotUnit maps a count to its unit index + 1 (0 = not seen); only
+	// the distinct counts seen are visited after the row scans.
 	c.slotUnit = grow(c.slotUnit, window+1)
-	for k := range c.slotMult {
-		c.slotMult[k] = 0
-	}
+	groups := 0
 	for i, cnt := range counts {
-		cnt = spike.Clamp(cnt, window)
-		if cnt == 0 {
+		if cnt = spike.Clamp(cnt, window); cnt == 0 {
 			continue
 		}
-		if c.slotMult[cnt] == 0 {
-			c.slotRow[cnt] = i
-		}
-		c.slotMult[cnt]++
-	}
-	grouped := 0
-	for cnt := 1; cnt <= window; cnt++ {
-		if c.slotMult[cnt] > 1 {
-			grouped++
-		}
-	}
-	c.groupBuf = grow(c.groupBuf, grouped*2*cols)
-	gi := 0
-	for cnt := 1; cnt <= window; cnt++ {
-		mult := c.slotMult[cnt]
-		if mult == 0 {
-			continue
-		}
-		c.slotUnit[cnt] = len(c.unitCount)
-		if mult == 1 {
-			i := c.slotRow[cnt]
-			c.unitPos = append(c.unitPos, c.posG[i*cols:(i+1)*cols])
-			c.unitNeg = append(c.unitNeg, c.negG[i*cols:(i+1)*cols])
-		} else {
-			pos := c.groupBuf[gi*2*cols : gi*2*cols+cols]
-			neg := c.groupBuf[gi*2*cols+cols : (gi+1)*2*cols]
-			for j := range pos {
-				pos[j], neg[j] = 0, 0
+		if u := c.slotUnit[cnt]; u != 0 {
+			if c.units[u-1].mult++; c.units[u-1].mult == 2 {
+				groups++
 			}
-			gi++
-			c.unitPos = append(c.unitPos, pos)
-			c.unitNeg = append(c.unitNeg, neg)
-		}
-		c.unitCount = append(c.unitCount, cnt)
-	}
-	for i, cnt := range counts {
-		cnt = spike.Clamp(cnt, window)
-		if cnt == 0 || c.slotMult[cnt] < 2 {
 			continue
 		}
-		up := c.unitPos[c.slotUnit[cnt]]
-		un := c.unitNeg[c.slotUnit[cnt]]
-		pg := c.posG[i*cols : (i+1)*cols]
-		ng := c.negG[i*cols : (i+1)*cols]
-		for j := range up {
-			up[j] += pg[j]
-			un[j] += ng[j]
+		c.units = append(c.units, unit{g: c.pnG[i*w : (i+1)*w], count: cnt, mult: 1, first: i})
+		if cnt > 1 {
+			c.slotUnit[cnt] = len(c.units)
 		}
 	}
-	return len(c.unitCount)
+	if groups > 0 {
+		c.groupBuf = grow(c.groupBuf, groups*w)
+		gi := 0
+		for k := range c.units {
+			if u := &c.units[k]; u.mult > 1 {
+				g := c.groupBuf[gi*w : (gi+1)*w]
+				copy(g, u.g)
+				u.g = g
+				gi++
+			}
+		}
+		for i, cnt := range counts {
+			if cnt = spike.Clamp(cnt, window); cnt < 2 {
+				continue
+			}
+			if u := c.units[c.slotUnit[cnt]-1]; u.mult > 1 && i != u.first {
+				addRow(u.g, c.pnG[i*w:(i+1)*w])
+			}
+		}
+	}
+	for _, u := range c.units {
+		c.slotUnit[u.count] = 0
+	}
 }
 
 // classifyProgramming scans the programmed conductances and precomputes
-// the sparse kernel's structural facts: whether conductance sums are
+// the packed kernel's structural facts: whether conductance sums are
 // exact in any order (every value integer and the worst-case window-long
 // column accumulation far below 2^53 — true for ideal programming, where
 // conductances are integer level counts; false as soon as programming
-// noise produces fractional values), and which columns carry any nonzero
-// conductance at all.
+// noise produces fractional values), which columns carry any nonzero
+// conductance at all, and the train table — the packed Bresenham train
+// of every count 0..Γ, Lanes(Γ) words each, so the kernel never
+// regenerates a train. The table is looked up here, not on the first
+// kernel call, so its one-time build lands in programming.
 func (c *Crossbar) classifyProgramming() {
 	exact := true
-	var maxColSum float64
 	colSum := make([]float64, c.cols)
-	for i := 0; i < c.rows; i++ {
-		for j := 0; j < c.cols; j++ {
-			k := i*c.cols + j
-			pg, ng := c.posG[k], c.negG[k]
-			if pg != math.Trunc(pg) || ng != math.Trunc(ng) {
-				exact = false
-			}
-			colSum[j] += math.Abs(pg) + math.Abs(ng)
+	for k, g := range c.pnG {
+		if g != math.Trunc(g) {
+			exact = false
 		}
+		colSum[k/2%c.cols] += math.Abs(g)
 	}
-	active := make([]int, 0, c.cols)
+	var maxColSum float64
+	c.allCols = make([]int, c.cols)
+	c.activeCols = make([]int, 0, c.cols)
 	for j, s := range colSum {
-		if s > maxColSum {
-			maxColSum = s
-		}
+		maxColSum = max(maxColSum, s)
+		c.allCols[j] = j
 		if s != 0 {
-			active = append(active, j)
+			c.activeCols = append(c.activeCols, j)
 		}
 	}
 	c.exactSums = exact && float64(c.window)*maxColSum < 1<<52
-	if len(active) == c.cols {
-		c.activeCols = nil // all columns live: use the contiguous loop
-	} else {
-		c.activeCols = active
-	}
+	c.zeroDrive = make([]float64, 2*c.cols)
+	c.trainTab = spike.UniformTable(c.window)
 }

@@ -1,6 +1,7 @@
 package xbar
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -35,7 +36,12 @@ func countsAtDensity(rng *rand.Rand, n, window int, d float64) []int {
 // packed kernel's order-preserving row iteration).
 func newTestCrossbar(t *testing.T, rng *rand.Rand, rows, cols int, noisy bool, zeroCols int) (*Crossbar, [][]int) {
 	t.Helper()
-	cfg := testConfig(0)
+	return programTestCrossbar(t, rng, testConfig(0), rows, cols, noisy, zeroCols)
+}
+
+// programTestCrossbar is newTestCrossbar on a caller-chosen base config.
+func programTestCrossbar(t *testing.T, rng *rand.Rand, cfg Config, rows, cols int, noisy bool, zeroCols int) (*Crossbar, [][]int) {
+	t.Helper()
 	var prng *rand.Rand
 	if noisy {
 		cfg.Spec = device.Cell4BitMeasured
@@ -100,6 +106,78 @@ func TestPackedMatchesDenseProperty(t *testing.T) {
 			}
 		}
 	}
+	// Multi-lane windows: Γ = 128 and 256 give every train-table entry
+	// 2 and 4 words, so live cycles and gaps cross lane boundaries. Even
+	// columns are one-sided (no negative weights), so a hot drain changes
+	// the output instead of cancelling against the other polarity. Each
+	// crossbar runs a mid η, short (maxW/4) and long (0.5) hot drains
+	// through zero-drive gaps, and η ≤ 0 (every column, zero columns
+	// included, fires every cycle).
+	for _, ioBits := range []int{7, 8} {
+		cfg := testConfig(0)
+		cfg.Params.IOBits = ioBits
+		maxW := cfg.Rep.MaxWeight()
+		for _, noisy := range []bool{false, true} {
+			for _, tc := range []struct{ rows, cols, batch, zeroCols int }{
+				{1, 1, 2, 0}, {33, 9, 3, 2}, {70, 12, 2, 0},
+			} {
+				weights := randomWeights(rng, tc.rows, tc.cols, maxW)
+				for i := range weights {
+					for j := range weights[i] {
+						if j%2 == 0 && weights[i][j] < 0 {
+							weights[i][j] = -weights[i][j]
+						}
+						if j%5 == 1 && j/5 < tc.zeroCols {
+							weights[i][j] = 0
+						}
+					}
+				}
+				ncfg, prng := cfg, (*rand.Rand)(nil)
+				if noisy {
+					ncfg.Spec = device.Cell4BitMeasured
+					prng = rand.New(rand.NewSource(rng.Int63()))
+				}
+				xb, err := Program(ncfg, weights, prng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if xb.exactSums == noisy || xb.Window() != 1<<ioBits {
+					t.Fatalf("IOBits=%d noisy=%v: exactSums=%v window=%d", ioBits, noisy, xb.exactSums, xb.Window())
+				}
+				mid := float64(maxW) * float64(tc.rows) / 8
+				for _, eta := range []float64{mid, float64(maxW) / 4, 0.5, 0, -2} {
+					xb.SetEta(eta)
+					for _, d := range densities {
+						src := make([]int, 0, tc.batch*tc.rows)
+						for b := 0; b < tc.batch; b++ {
+							src = append(src, countsAtDensity(rng, tc.rows, xb.Window(), d)...)
+						}
+						label := fmt.Sprintf("IOBits=%d noisy=%v %+v η=%g d=%g", ioBits, noisy, tc, eta, d)
+						assertPackedMatchesDense(t, label, xb, src, tc.batch)
+					}
+				}
+			}
+		}
+	}
+}
+
+// assertPackedMatchesDense runs both spiking kernels on one batch and
+// requires element-identical outputs.
+func assertPackedMatchesDense(t *testing.T, label string, xb *Crossbar, src []int, batch int) {
+	t.Helper()
+	dense := make([]int, batch*xb.Cols())
+	packed := make([]int, batch*xb.Cols())
+	if err := xb.SimulateCountsBatchDense(dense, src, batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := xb.SimulateCountsBatchPacked(packed, src, batch); err != nil {
+		t.Fatal(err)
+	}
+	for k := range dense {
+		if dense[k] != packed[k] {
+			t.Fatalf("%s: out[%d] dense %d packed %d", label, k, dense[k], packed[k])
+		}
+	}
 }
 
 // TestPackedDegenerateCases covers the boundary inputs the ISSUE calls
@@ -109,19 +187,7 @@ func TestPackedDegenerateCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	check := func(t *testing.T, xb *Crossbar, src []int, batch int) {
 		t.Helper()
-		dense := make([]int, batch*xb.Cols())
-		packed := make([]int, batch*xb.Cols())
-		if err := xb.SimulateCountsBatchDense(dense, src, batch); err != nil {
-			t.Fatal(err)
-		}
-		if err := xb.SimulateCountsBatchPacked(packed, src, batch); err != nil {
-			t.Fatal(err)
-		}
-		for k := range dense {
-			if dense[k] != packed[k] {
-				t.Fatalf("out[%d]: dense %d packed %d", k, dense[k], packed[k])
-			}
-		}
+		assertPackedMatchesDense(t, t.Name(), xb, src, batch)
 	}
 	t.Run("all-zero", func(t *testing.T) {
 		xb, _ := newTestCrossbar(t, rng, 40, 8, false, 0)
@@ -312,5 +378,40 @@ func TestKernelStatsAdd(t *testing.T) {
 	}
 	if (KernelStats{}).Density() != 0 {
 		t.Fatal("empty Density != 0")
+	}
+}
+
+// TestSimulateCountsBatchAllocs is the deterministic allocation gate on
+// the spiking kernels: once a crossbar's scratch is warm, a batch call
+// allocates nothing on either path, for exact-sum (grouped) and noisy
+// programming alike.
+func TestSimulateCountsBatchAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	const batch, rows, cols = 16, 48, 24
+	for _, noisy := range []bool{false, true} {
+		for _, path := range []Path{PathDense, PathSparse} {
+			cfg := testConfig(0)
+			cfg.Path = path
+			xb, _ := programTestCrossbar(t, rng, cfg, rows, cols, noisy, 3)
+			xb.SetEta(float64(cfg.Rep.MaxWeight()) * 12)
+			src := make([]int, 0, batch*rows)
+			for b := 0; b < batch; b++ {
+				src = append(src, countsAtDensity(rng, rows, xb.Window(), 0.3)...)
+			}
+			dst := make([]int, batch*cols)
+			run := func() {
+				if err := xb.SimulateCountsBatch(dst, src, batch); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the scratch buffers
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+				t.Errorf("noisy=%v path=%v: %v allocs per warm batch, want 0", noisy, path, allocs)
+			}
+			st := xb.KernelStats()
+			if taken := st.SparseBatches != 0; taken != (path == PathSparse) || st.SparseBatches+st.DenseBatches != 22 {
+				t.Errorf("noisy=%v path=%v: kernel stats %+v", noisy, path, st)
+			}
+		}
 	}
 }

@@ -128,17 +128,22 @@ type Crossbar struct {
 	// posW/negW hold the ideal |weight| magnitudes by polarity,
 	// row-major rows×cols, as exact float64 integers.
 	posW, negW []float64
-	// posG/negG hold the programmed conductance sums (level units,
-	// possibly with variation), row-major rows×cols.
-	posG, negG []float64
+	// pnG holds the programmed conductance sums (level units, possibly
+	// with variation), row-major rows×2·cols with each column's positive
+	// and negative polarity interleaved: cell (i, j) is pnG[2(i·cols+j)]
+	// and pnG[2(i·cols+j)+1].
+	pnG []float64
 
 	// Spiking-kernel selection (see packed.go): the resolved path and
 	// auto threshold, plus the structural facts classifyProgramming
 	// derives from the conductances.
 	path       Path
 	threshold  float64
-	exactSums  bool  // conductance sums exact in any order (integer values)
-	activeCols []int // columns with any nonzero conductance; nil = all
+	exactSums  bool      // conductance sums exact in any order (integer values)
+	activeCols []int     // columns with any nonzero conductance, ascending
+	allCols    []int     // every column, ascending (walked when η ≤ 0)
+	trainTab   []uint64  // spike.UniformTable(Γ): packed train per count, shared, read-only
+	zeroDrive  []float64 // 2·cols zeros: the drive of a gap cycle
 
 	// faulted is the number of stuck logical cells Program masked into
 	// this crossbar (after any remapping upstream).
@@ -152,24 +157,18 @@ type Crossbar struct {
 	// Scratch reused across batch calls (not concurrency-safe).
 	xf         []float64 // batch×rows float inputs
 	accP, accN []float64 // batch×cols reference accumulators
-	drvP, drvN []float64 // cols per-cycle drives
+	drv        []float64 // 2·cols interleaved per-cycle drives
 	memP, memN []float64 // cols neuron membrane accumulators
 	debt       []int     // cols subtracter debts
 	trains     []bool    // rows×window spike trains for one item
 
 	// Packed-kernel scratch (see simulateCountsPacked).
-	masks     []uint64    // window×Lanes(units) timestep-major firing masks
-	unitPos   [][]float64 // per-unit positive conductance rows
-	unitNeg   [][]float64 // per-unit negative conductance rows
-	unitCount []int       // per-unit firing counts
-	groupBuf  []float64   // backing store for pre-summed group rows
-	slotMult  []int       // window+1: rows sharing each count
-	slotRow   []int       // window+1: first row with each count
-	slotUnit  []int       // window+1: count → unit index
-	evCycles  []int       // live cycles of the current item, ascending
-	evStart   []int       // per-live-cycle offsets into evUnits
-	evUnits   []int       // firing units per live cycle, ascending
-	drvAll    []float64   // live×2·cols accumulated drives (P then N per cycle)
+	units    []unit    // drive units of the current item
+	groupBuf []float64 // backing store for pre-summed group rows
+	slotUnit []int     // window+1: count → unit index + 1
+	live     []uint64  // Lanes(window) live-cycle mask
+	drvAll   []float64 // window×2·cols drive matrix, live rows valid
+	neurons  []neuron  // cols per-column neuron/subtracter state
 }
 
 // Program writes a logical weight matrix weights[i][j] (row-major,
@@ -218,8 +217,7 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 		window: cfg.Params.SamplingWindow(),
 		posW:   make([]float64, rows*cols),
 		negW:   make([]float64, rows*cols),
-		posG:   make([]float64, rows*cols),
-		negG:   make([]float64, rows*cols),
+		pnG:    make([]float64, 2*rows*cols),
 	}
 	c.path, c.threshold = ResolvePath(cfg.Path, cfg.SparseThreshold)
 	var mask *device.FaultMask
@@ -253,8 +251,8 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 			k := i*cols + j
 			c.posW[k] = float64(pos)
 			c.negW[k] = float64(neg)
-			c.posG[k] = device.ProgramWeight(cfg.Rep, cfg.Spec, pos, rng)
-			c.negG[k] = device.ProgramWeight(cfg.Rep, cfg.Spec, neg, rng)
+			c.pnG[2*k] = device.ProgramWeight(cfg.Rep, cfg.Spec, pos, rng)
+			c.pnG[2*k+1] = device.ProgramWeight(cfg.Rep, cfg.Spec, neg, rng)
 		}
 	}
 	if mask != nil && (mask.Drift > 0 || mask.ReadSigma > 0) {
@@ -278,9 +276,8 @@ func Program(cfg Config, weights [][]int, rng *rand.Rand) (*Crossbar, error) {
 			}
 			return g
 		}
-		for k := range c.posG {
-			c.posG[k] = perturb(c.posG[k])
-			c.negG[k] = perturb(c.negG[k])
+		for k, g := range c.pnG {
+			c.pnG[k] = perturb(g)
 		}
 	}
 	c.classifyProgramming()
@@ -307,7 +304,7 @@ func (c *Crossbar) Window() int { return c.window }
 func (c *Crossbar) SetEta(eta float64) { c.eta = eta }
 
 // grow returns buf resized to n, reusing capacity.
-func grow[T float64 | bool | int | uint64](buf []T, n int) []T {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, n)
 	}
@@ -400,8 +397,7 @@ func (c *Crossbar) SimulateCountsBatch(dst, src []int, batch int) error {
 func (c *Crossbar) simulateCountsDense(dst, src []int, batch int) {
 	window := c.window
 	c.trains = grow(c.trains, c.rows*window)
-	c.drvP = grow(c.drvP, c.cols)
-	c.drvN = grow(c.drvN, c.cols)
+	c.drv = grow(c.drv, 2*c.cols)
 	c.memP = grow(c.memP, c.cols)
 	c.memN = grow(c.memN, c.cols)
 	c.debt = grow(c.debt, c.cols)
@@ -429,9 +425,7 @@ func (c *Crossbar) simulateCountsDense(dst, src []int, batch int) {
 			c.debt[j] = 0
 		}
 		for t := 0; t < window; t++ {
-			for j := range c.drvP {
-				c.drvP[j], c.drvN[j] = 0, 0
-			}
+			clear(c.drv)
 			// Row-major accumulation: for each firing row, add its
 			// conductance row across all columns. For any fixed column
 			// this sums the same conductances in the same (ascending
@@ -441,24 +435,19 @@ func (c *Crossbar) simulateCountsDense(dst, src []int, batch int) {
 				if !c.trains[i*window+t] {
 					continue
 				}
-				pg := c.posG[i*c.cols : (i+1)*c.cols]
-				ng := c.negG[i*c.cols : (i+1)*c.cols]
-				for j := range c.drvP {
-					c.drvP[j] += pg[j]
-					c.drvN[j] += ng[j]
-				}
+				addRow(c.drv, c.pnG[i*2*c.cols:(i+1)*2*c.cols])
 			}
 			for j := 0; j < c.cols; j++ {
 				// Ideal accumulate-and-fire (spike.Neuron.Step) on both
 				// polarities, then the spike subtracter
 				// (spike.Subtracter.Step) inline.
 				sp := false
-				if c.memP[j] += c.drvP[j]; c.memP[j] >= c.eta {
+				if c.memP[j] += c.drv[2*j]; c.memP[j] >= c.eta {
 					c.memP[j] -= c.eta
 					sp = true
 				}
 				sn := false
-				if c.memN[j] += c.drvN[j]; c.memN[j] >= c.eta {
+				if c.memN[j] += c.drv[2*j+1]; c.memN[j] >= c.eta {
 					c.memN[j] -= c.eta
 					sn = true
 				}
@@ -501,26 +490,18 @@ func (c *Crossbar) SimulateTrains(inputs []spike.Train, newNeuron func(eta float
 		negN[j] = newNeuron(c.eta)
 		outs[j] = spike.NewTrain(window)
 	}
-	c.drvP = grow(c.drvP, c.cols)
-	c.drvN = grow(c.drvN, c.cols)
+	c.drv = grow(c.drv, 2*c.cols)
 	for t := 0; t < window; t++ {
-		for j := range c.drvP {
-			c.drvP[j], c.drvN[j] = 0, 0
-		}
+		clear(c.drv)
 		for i := 0; i < c.rows; i++ {
 			if !inputs[i][t] {
 				continue
 			}
-			pg := c.posG[i*c.cols : (i+1)*c.cols]
-			ng := c.negG[i*c.cols : (i+1)*c.cols]
-			for j := range c.drvP {
-				c.drvP[j] += pg[j]
-				c.drvN[j] += ng[j]
-			}
+			addRow(c.drv, c.pnG[i*2*c.cols:(i+1)*2*c.cols])
 		}
 		for j := 0; j < c.cols; j++ {
-			sp := posN[j].Step(c.drvP[j])
-			sn := negN[j].Step(c.drvN[j])
+			sp := posN[j].Step(c.drv[2*j])
+			sn := negN[j].Step(c.drv[2*j+1])
 			outs[j][t] = subs[j].Step(sp, sn)
 		}
 	}

@@ -202,8 +202,9 @@ func TestProgramDrawOrder(t *testing.T) {
 			}
 			gp := device.ProgramWeight(cfg.Rep, cfg.Spec, pos, rng)
 			gn := device.ProgramWeight(cfg.Rep, cfg.Spec, neg, rng)
-			if xb.posG[i*2+j] != gp || xb.negG[i*2+j] != gn {
-				t.Fatalf("cell (%d,%d): got %g/%g, want %g/%g", i, j, xb.posG[i*2+j], xb.negG[i*2+j], gp, gn)
+			k := 2 * (i*2 + j)
+			if xb.pnG[k] != gp || xb.pnG[k+1] != gn {
+				t.Fatalf("cell (%d,%d): got %g/%g, want %g/%g", i, j, xb.pnG[k], xb.pnG[k+1], gp, gn)
 			}
 		}
 	}

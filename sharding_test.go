@@ -313,17 +313,14 @@ func TestShardingBench(t *testing.T) {
 	// with GOMAXPROCS < chips the per-chip goroutines time-slice, the
 	// multi-chip row legitimately measures ~1.0x, and the report must say
 	// so instead of looking like a silent regression.
-	if r.GoMaxProcs < 2 {
-		if !strings.Contains(out, "time-slice") {
-			t.Errorf("1-core render missing the GOMAXPROCS caveat:\n%s", out)
-		}
-		t.Logf("GOMAXPROCS=%d < 2 chips: skipping pipeline speedup assertion (2-chip speedup %.2fx)",
-			r.GoMaxProcs, r.Rows[1].Speedup)
-	} else if r.Rows[1].Speedup < 0.8 {
-		// Loose floor: pipelining has overhead, but with ≥2 cores the
-		// 2-chip row should not collapse far below the 1-chip baseline.
-		t.Errorf("2-chip speedup %.2fx with GOMAXPROCS=%d, want ≥ 0.8x", r.Rows[1].Speedup, r.GoMaxProcs)
+	if r.GoMaxProcs < 2 && !strings.Contains(out, "time-slice") {
+		t.Errorf("1-core render missing the GOMAXPROCS caveat:\n%s", out)
 	}
+	// The wall-clock overlap floor (2-chip speedup ≥ 0.8x with ≥ 2 cores)
+	// is not asserted here: one short run sharing the cores with other
+	// packages' tests is noise. CI checks it alone, on the median of
+	// repeated runs: fpsa-bench -exp sharding -min-speedup 0.8.
+	t.Logf("GOMAXPROCS=%d: 2-chip speedup %.2fx", r.GoMaxProcs, r.Rows[1].Speedup)
 }
 
 // TestReshardingReusesUnchangedShards: shard cache keys address the
