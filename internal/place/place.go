@@ -191,18 +191,144 @@ func Anneal(ctx context.Context, nl *netlist.Netlist, chip fabric.Chip, rng *ran
 // rng the annealer was built with, never on when or from which goroutine
 // its segments execute — the property the multi-seed Portfolio relies on
 // for determinism.
+//
+// Move evaluation is incremental, allocation-free and exact: w caches
+// every net's weight (netWeight never depends on the placement), hp every
+// net's HPWL (updated only when a move commits), and a move re-measures
+// only the nets it touches — wide nets usually in O(1) from their cached
+// bounding box (see span.shift). HPWL is an integer and the affected nets
+// are summed in a fixed order, so every cost delta — and with it every
+// RNG draw and accept decision — is bit-identical to recomputing each
+// affected net from scratch. The scratch state (mark, aff, newHP, newBB)
+// belongs to one annealer and is never shared.
 type annealer struct {
 	nl     *netlist.Netlist
 	rng    *rand.Rand
 	netsOf [][]int
 	p      *Placement
-	cost   float64
-	stats  Stats
+	// cols and sites cache the chip geometry: fabric.Chip's value-receiver
+	// methods would copy the whole chip, device parameters included, on
+	// every move.
+	cols, sites int
+	stats       Stats
+
+	w     []float64 // net → weight
+	hp    []int     // net → HPWL at the current placement
+	bb    []bbox    // net → bounding box, kept for nets with !scan
+	scan  []bool    // net → rescanned on every move (see newAnnealer)
+	mark  []int     // net → last move's epoch: epoch if b's only, epoch+1 if other's
+	epoch int
+	aff   []int  // nets the proposed move touches, deduplicated
+	newHP []int  // aff[k]'s HPWL after the proposed move
+	newBB []bbox // aff[k]'s bounding box after the proposed move (!scan)
 
 	moves   int
 	temp    float64
 	minTemp float64
 	done    bool
+}
+
+// scanPins is the largest net rescanned on every move instead of updated
+// from a cached bbox. Most nets have two pins: for them a rescan is a few
+// loads, and a moved pin leaves an edge it held alone on most moves, so
+// the update would fall back to a rescan anyway. Wide nets (the 14–65-sink
+// broadcasts the mapper emits) almost never need one.
+const scanPins = 8
+
+// span is one axis of a net's bounding box: the extreme pin coordinates
+// and how many pins sit on each — VPR's incremental wirelength state.
+type span struct{ lo, hi, nlo, nhi int }
+
+// bbox is a net's pin bounding box.
+type bbox struct{ x, y span }
+
+func (b *bbox) hpwl() int { return (b.x.hi - b.x.lo) + (b.y.hi - b.y.lo) }
+
+// netBBox scans a net's pins for its bounding box and edge counts.
+func netBBox(p *Placement, net *netlist.Net) bbox {
+	s := p.Pos[net.Src]
+	bb := bbox{span{s.X, s.X, 1, 1}, span{s.Y, s.Y, 1, 1}}
+	for _, b := range net.Sinks {
+		q := p.Pos[b]
+		bb.x.add(q.X)
+		bb.y.add(q.Y)
+	}
+	return bb
+}
+
+// add folds one more pin coordinate into a span being scanned.
+func (s *span) add(v int) {
+	switch {
+	case v < s.lo:
+		s.lo, s.nlo = v, 1
+	case v == s.lo:
+		s.nlo++
+	}
+	switch {
+	case v > s.hi:
+		s.hi, s.nhi = v, 1
+	case v == s.hi:
+		s.nhi++
+	}
+}
+
+// shift moves one pin from o to n. It reports false when the pin was
+// alone on the edge it left: the new edge could be anywhere, and only a
+// rescan finds it.
+func (s *span) shift(o, n int) bool {
+	switch {
+	case n < o:
+		if o == s.hi {
+			if s.nhi == 1 {
+				return false
+			}
+			s.nhi--
+		}
+		switch {
+		case n < s.lo:
+			s.lo, s.nlo = n, 1
+		case n == s.lo:
+			s.nlo++
+		}
+	case n > o:
+		if o == s.lo {
+			if s.nlo == 1 {
+				return false
+			}
+			s.nlo--
+		}
+		switch {
+		case n > s.hi:
+			s.hi, s.nhi = n, 1
+		case n == s.hi:
+			s.nhi++
+		}
+	}
+	return true
+}
+
+// move is one proposed swap or relocation: block b goes from site index
+// from to site index to; other (the block at to, or −1) takes from.
+type move struct {
+	b, other, from, to int
+	fromSite, toSite   fabric.Site
+}
+
+// inverse is the move that undoes m.
+func (m move) inverse() move {
+	m.from, m.to = m.to, m.from
+	m.fromSite, m.toSite = m.toSite, m.fromSite
+	return m
+}
+
+// apply performs a move.
+func (p *Placement) apply(m move) {
+	p.Pos[m.b] = m.toSite
+	p.occ[m.to] = m.b
+	if m.other >= 0 {
+		p.Pos[m.other] = m.fromSite
+	}
+	p.occ[m.from] = m.other
 }
 
 // newAnnealer builds the initial random placement, probes the starting
@@ -213,23 +339,42 @@ func newAnnealer(nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	a := &annealer{nl: nl, rng: rng, p: p}
-	// Index nets by block for incremental cost evaluation.
+	n := len(nl.Nets)
+	a := &annealer{
+		nl: nl, rng: rng, p: p, cols: chip.W, sites: chip.Sites(),
+		w: make([]float64, n), hp: make([]int, n), bb: make([]bbox, n), scan: make([]bool, n),
+		mark: make([]int, n), aff: make([]int, 0, n), newHP: make([]int, n), newBB: make([]bbox, n),
+	}
+	// Index nets by block for incremental cost evaluation; seen[b] == i+1
+	// once block b has been listed under net i. Small nets and nets
+	// listing a block twice (span.shift moves one pin per block) skip the
+	// bounding-box update and are rescanned on every move.
 	a.netsOf = make([][]int, len(nl.Blocks))
+	seen := make([]int, len(nl.Blocks))
 	for i := range nl.Nets {
 		net := &nl.Nets[i]
-		blocks := append([]int{net.Src}, net.Sinks...)
-		seen := make(map[int]bool)
-		for _, b := range blocks {
-			if !seen[b] {
-				seen[b] = true
-				a.netsOf[b] = append(a.netsOf[b], i)
+		a.scan[i] = 1+len(net.Sinks) <= scanPins
+		for k := -1; k < len(net.Sinks); k++ {
+			b := net.Src
+			if k >= 0 {
+				b = net.Sinks[k]
 			}
+			if seen[b] == i+1 {
+				a.scan[i] = true
+				continue
+			}
+			seen[b] = i + 1
+			a.netsOf[b] = append(a.netsOf[b], i)
+		}
+		a.w[i] = netWeight(nl, net)
+		a.hp[i] = netHPWL(p, net)
+		if !a.scan[i] {
+			a.bb[i] = netBBox(p, net)
 		}
 	}
-	a.cost = Cost(p, nl)
-	a.stats = Stats{InitialCost: a.cost}
-	if len(nl.Nets) == 0 || len(nl.Blocks) < 2 {
+	cost := a.cost()
+	a.stats = Stats{InitialCost: cost}
+	if n == 0 || len(nl.Blocks) < 2 {
 		a.done = true
 		return a, nil
 	}
@@ -248,13 +393,14 @@ func newAnnealer(nl *netlist.Netlist, chip fabric.Chip, rng *rand.Rand, opts Opt
 	var sumSq, sum float64
 	const probes = 64
 	for i := 0; i < probes; i++ {
-		d := p.probeMove(nl, a.netsOf, rng)
+		_, d := a.propose()
+		d = math.Abs(d)
 		sum += d
 		sumSq += d * d
 	}
 	std := math.Sqrt(math.Max(0, sumSq/probes-(sum/probes)*(sum/probes)))
 	a.temp = tempFactor * (std + 1)
-	a.minTemp = 0.001 * (a.cost/float64(len(nl.Nets)) + 1)
+	a.minTemp = 0.001 * (cost/float64(n) + 1)
 	if a.temp <= a.minTemp {
 		a.done = true
 	}
@@ -268,10 +414,9 @@ func (a *annealer) step() {
 	}
 	accepted := 0
 	for m := 0; m < a.moves; m++ {
-		delta, commit := a.p.proposeMove(a.nl, a.netsOf, a.rng)
+		mv, delta := a.propose()
 		if delta <= 0 || a.rng.Float64() < math.Exp(-delta/a.temp) {
-			commit()
-			a.cost += delta
+			a.commit(mv)
 			accepted++
 			a.stats.Accepted++
 		}
@@ -309,80 +454,100 @@ func (a *annealer) run(ctx context.Context, maxSteps int) {
 	}
 }
 
-// CurrentCost recomputes the exact current cost (the incrementally
-// maintained value drifts) — the checkpoint metric Portfolio ranks runs by.
-func (a *annealer) CurrentCost() float64 { return Cost(a.p, a.nl) }
-
-// finish returns the placement with final statistics.
-func (a *annealer) finish() (*Placement, Stats) {
-	a.stats.FinalCost = Cost(a.p, a.nl) // recompute exactly (incremental drift)
-	return a.p, a.stats
-}
-
-// proposeMove picks a random block and a random target site (occupied →
-// swap, free → relocate), returning the cost delta and a commit closure.
-func (p *Placement) proposeMove(nl *netlist.Netlist, netsOf [][]int, rng *rand.Rand) (float64, func()) {
-	b := rng.Intn(len(p.Pos))
-	target := rng.Intn(p.Chip.Sites())
-	other := p.occ[target]
-	from := p.Pos[b]
-	fromIdx := p.Chip.Index(from)
-	if other == b {
-		return 0, func() {}
-	}
-	affected := netsOf[b]
-	if other >= 0 {
-		affected = union(netsOf[b], netsOf[other])
-	}
-	before := p.partialCost(nl, affected)
-	p.apply(b, target, other, fromIdx)
-	after := p.partialCost(nl, affected)
-	p.apply(b, fromIdx, other, target) // undo
-	delta := after - before
-	return delta, func() { p.apply(b, target, other, fromIdx) }
-}
-
-// probeMove measures |Δcost| of a random move without keeping it.
-func (p *Placement) probeMove(nl *netlist.Netlist, netsOf [][]int, rng *rand.Rand) float64 {
-	d, _ := p.proposeMove(nl, netsOf, rng)
-	return math.Abs(d)
-}
-
-// apply moves block b to site index target; if other ≥ 0 it takes b's old
-// site (index fromIdx).
-func (p *Placement) apply(b, target, other, fromIdx int) {
-	p.Pos[b] = p.Chip.SiteAt(target)
-	p.occ[target] = b
-	if other >= 0 {
-		p.Pos[other] = p.Chip.SiteAt(fromIdx)
-		p.occ[fromIdx] = other
-	} else {
-		p.occ[fromIdx] = -1
-	}
-}
-
-func (p *Placement) partialCost(nl *netlist.Netlist, nets []int) float64 {
+// cost sums the cached per-net costs in net order: bit-identical to
+// Cost(a.p, a.nl) without rescanning any pins.
+func (a *annealer) cost() float64 {
 	var total float64
-	for _, i := range nets {
-		total += float64(netHPWL(p, &nl.Nets[i])) * netWeight(nl, &nl.Nets[i])
+	for i, h := range a.hp {
+		total += float64(h) * a.w[i]
 	}
 	return total
 }
 
-func union(a, b []int) []int {
-	seen := make(map[int]bool, len(a)+len(b))
-	out := make([]int, 0, len(a)+len(b))
-	for _, x := range a {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
+// CurrentCost is the exact current cost — the checkpoint metric
+// Portfolio ranks runs by.
+func (a *annealer) CurrentCost() float64 { return a.cost() }
+
+// finish returns the placement with final statistics.
+func (a *annealer) finish() (*Placement, Stats) {
+	a.stats.FinalCost = a.cost()
+	return a.p, a.stats
+}
+
+// propose picks a random block and a random target site (occupied →
+// swap, free → relocate) and returns the move with its exact cost delta,
+// leaving aff, newHP and newBB ready for commit. The placement is unchanged.
+func (a *annealer) propose() (move, float64) {
+	p := a.p
+	b := a.rng.Intn(len(p.Pos))
+	to := a.rng.Intn(a.sites)
+	from := p.Pos[b]
+	mv := move{
+		b: b, other: p.occ[to],
+		from: from.Y*a.cols + from.X, to: to, // fabric.Chip.Index / SiteAt
+		fromSite: from, toSite: fabric.Site{X: to % a.cols, Y: to / a.cols},
+	}
+	a.aff = a.aff[:0]
+	if mv.other == b {
+		return mv, 0
+	}
+	// The affected nets, deduplicated in order: b's nets, then the new
+	// ones among other's. A net holding both is re-marked epoch+1.
+	a.epoch += 2
+	for _, i := range a.netsOf[b] {
+		a.mark[i] = a.epoch
+		a.aff = append(a.aff, i)
+	}
+	nb := len(a.aff)
+	if mv.other >= 0 {
+		for _, i := range a.netsOf[mv.other] {
+			if a.mark[i] != a.epoch {
+				a.aff = append(a.aff, i)
+			}
+			a.mark[i] = a.epoch + 1
 		}
 	}
-	for _, x := range b {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
+	var before, after float64
+	for _, i := range a.aff {
+		before += float64(a.hp[i]) * a.w[i]
+	}
+	p.apply(mv)
+	for k, i := range a.aff {
+		h := a.hp[i]
+		if a.scan[i] {
+			h = netHPWL(p, &a.nl.Nets[i])
+		} else if a.mark[i] == a.epoch || k >= nb {
+			// One pin moves: b's to the target, or other's to b's old
+			// site. (A net holding both just trades two pins' sites;
+			// its box is unchanged.)
+			o, n := mv.fromSite, mv.toSite
+			if k >= nb {
+				o, n = n, o
+			}
+			bb := a.bb[i]
+			if !bb.x.shift(o.X, n.X) || !bb.y.shift(o.Y, n.Y) {
+				bb = netBBox(p, &a.nl.Nets[i])
+			}
+			a.newBB[k] = bb
+			h = bb.hpwl()
+		} else {
+			a.newBB[k] = a.bb[i]
+		}
+		a.newHP[k] = h
+		after += float64(h) * a.w[i]
+	}
+	p.apply(mv.inverse())
+	return mv, after - before
+}
+
+// commit applies the move propose just returned and adopts its nets'
+// new wirelengths and bounding boxes.
+func (a *annealer) commit(mv move) {
+	a.p.apply(mv)
+	for k, i := range a.aff {
+		a.hp[i] = a.newHP[k]
+		if !a.scan[i] {
+			a.bb[i] = a.newBB[k]
 		}
 	}
-	return out
 }

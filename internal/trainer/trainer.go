@@ -116,6 +116,7 @@ func (m *MLP) Forward(x []float64) [][]float64 {
 			if xi == 0 {
 				continue
 			}
+			out := out[:len(wi)] // one bounds check per row, not per element
 			for j, wij := range wi {
 				out[j] += wij * xi
 			}
@@ -213,12 +214,19 @@ func (m *MLP) step(x []float64, label int, lr, target float64) {
 		for i := range w {
 			xi := in[i]
 			wi := w[i]
+			grad := grad[:len(wi)]
+			// One loop per case instead of a nil test per element; the
+			// arithmetic and its order are unchanged.
 			var g float64
-			for j := range wi {
-				if next != nil {
-					g += wi[j] * grad[j]
+			if next != nil {
+				for j, gj := range grad {
+					g += wi[j] * gj
+					wi[j] -= lr * gj * xi
 				}
-				wi[j] -= lr * grad[j] * xi
+			} else {
+				for j, gj := range grad {
+					wi[j] -= lr * gj * xi
+				}
 			}
 			if next != nil {
 				if xi == 0 && g > 0 {

@@ -1,6 +1,9 @@
 package trainer
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -171,5 +174,25 @@ func TestSyntheticClustersLabels(t *testing.T) {
 		if ds.Y[i] < 0 || ds.Y[i] >= 5 {
 			t.Fatalf("label %d out of range", ds.Y[i])
 		}
+	}
+}
+
+// TestTrainGolden pins the exact trained weights (an FNV hash of every
+// float's bits): training is deterministic, and restructuring its loops
+// must not reorder any floating-point operation.
+func TestTrainGolden(t *testing.T) {
+	m, _ := trainedNet(t)
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, w := range m.W {
+		for _, row := range w {
+			for _, v := range row {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xd35f7a10f1cdf07); got != want {
+		t.Errorf("trained weights hash %#x, want %#x", got, want)
 	}
 }
