@@ -2,6 +2,7 @@ package fpsa
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -293,34 +294,70 @@ func Autotune(ctx context.Context, m Model, objective Objective, opts ...Option)
 			cache = NewCompileCache(0)
 		}
 		h0, m0 := cache.Counters()
-		k := set.refine
-		if k > len(order) {
-			k = len(order)
+		k := min(set.refine, len(order))
+		type refined struct {
+			dep    *Deployment
+			routed float64
+			err    error
 		}
-		bestRouted := -1
-		for fi := 0; fi < k; fi++ {
-			if err := ctx.Err(); err != nil {
-				return nil, rep, err
-			}
-			i := order[fi]
-			d, err := compileCandidate(ctx, m, set, cands[i], cache)
+		refine := func(ctx context.Context, fi int) refined {
+			d, err := compileCandidate(ctx, m, set, cands[order[fi]], cache)
 			if err != nil {
-				return nil, rep, fmt.Errorf("fpsa: autotune: refining candidate %d: %w", i, err)
+				return refined{err: err}
 			}
 			stats, err := d.PlaceAndRoute(ctx)
 			if err != nil {
-				return nil, rep, fmt.Errorf("fpsa: autotune: refining candidate %d: %w", i, err)
+				return refined{err: err}
 			}
 			ps, err := d.PerformanceWithHops(int(stats.MeanHops + 0.5))
 			if err != nil {
-				return nil, rep, fmt.Errorf("fpsa: autotune: refining candidate %d: %w", i, err)
+				return refined{err: err}
+			}
+			return refined{dep: d, routed: objective.value(ps)}
+		}
+		// The finalists refine concurrently, each under its own child of
+		// ctx. A failure cancels only the later finalists, which the
+		// serial order would never have reached; the earlier ones run to
+		// completion, so the earliest error still wins.
+		results := make([]refined, k)
+		ctxs := make([]context.Context, k)
+		cancels := make([]context.CancelFunc, k)
+		ids := make([]int, k)
+		for fi := range ids {
+			ids[fi] = fi
+			ctxs[fi], cancels[fi] = context.WithCancel(ctx)
+			defer cancels[fi]()
+		}
+		place.NewPool(set.cfg.Parallelism).Each(ids, func(fi int) {
+			results[fi] = refine(ctxs[fi], fi)
+			if results[fi].err != nil {
+				for _, cancel := range cancels[fi+1:] {
+					cancel()
+				}
+			}
+		})
+		if err := ctx.Err(); err != nil {
+			return nil, rep, err
+		}
+		// Reduce in finalist order, exactly as a serial loop would.
+		bestRouted := -1
+		for fi := range results {
+			r := results[fi]
+			if r.err != nil && errors.Is(r.err, context.Canceled) {
+				// A later finalist's failure cancelled a cache entry this
+				// finalist had joined; serially it would have computed
+				// the entry itself, so refine it again.
+				r = refine(ctx, fi)
+			}
+			i := order[fi]
+			if r.err != nil {
+				return nil, rep, fmt.Errorf("fpsa: autotune: refining candidate %d: %w", i, r.err)
 			}
 			rep.Refined++
-			routed := objective.value(ps)
-			if bestRouted < 0 || betterValue(objective, routed, rep.RoutedValue) {
+			if bestRouted < 0 || betterValue(objective, r.routed, rep.RoutedValue) {
 				bestRouted = i
-				rep.RoutedValue = routed
-				winnerDep = d
+				rep.RoutedValue = r.routed
+				winnerDep = r.dep
 			}
 		}
 		winner = bestRouted

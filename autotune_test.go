@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // TestParseObjectiveRoundTrip: every objective parses from its String
@@ -113,6 +115,86 @@ func TestAutotuneDeterministicAcrossWorkers(t *testing.T) {
 		if !reflect.DeepEqual(reports[0], reports[i]) {
 			t.Errorf("report differs across worker counts:\n1 worker:  %+v\nvariant %d: %+v", reports[0], i, reports[i])
 		}
+	}
+}
+
+// TestAutotuneRefineDeterministicAcrossWorkers: with the default
+// refinement (two finalists placed & routed concurrently), the whole
+// report — routed value, refined count and compile-cache traffic
+// included — and the winner's place-and-route stats and bitstream are
+// identical at one worker and at four.
+func TestAutotuneRefineDeterministicAcrossWorkers(t *testing.T) {
+	m, err := LoadBenchmark("LeNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		rep  AutotuneReport
+		pr   PRStats
+		bits BitstreamInfo
+	}
+	var outs []outcome
+	for _, workers := range []int{1, 4} {
+		ctx := context.Background()
+		d, rep, err := Autotune(ctx, m, MinEnergy, WithPEBudget(480), WithParallelism(workers))
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if rep.Refined != 2 || rep.RoutedValue == 0 {
+			t.Fatalf("workers %d: refined %d, routed value %v; want 2 finalists refined", workers, rep.Refined, rep.RoutedValue)
+		}
+		pr, err := d.PlaceAndRoute(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits, err := d.Bitstream(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, outcome{rep, pr, bits})
+	}
+	if !reflect.DeepEqual(outs[0], outs[1]) {
+		t.Errorf("refined search differs across worker counts:\n1 worker:  %+v\n4 workers: %+v", outs[0], outs[1])
+	}
+}
+
+// TestAutotuneCancelDuringRefine: cancelling ctx while the finalists are
+// being placed & routed returns ctx.Err() itself, and no refinement
+// goroutine outlives the call.
+func TestAutotuneCancelDuringRefine(t *testing.T) {
+	m, err := LoadBenchmark("LeNet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cache := NewCompileCache(0)
+	// Only refinement uses the cache: its first miss marks a finalist's
+	// place & route under way.
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for ctx.Err() == nil {
+			if _, misses := cache.Counters(); misses > 0 {
+				cancel()
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	_, _, err = Autotune(ctx, m, MinEnergy, WithPEBudget(480), WithParallelism(2), WithCache(cache))
+	cancel()
+	<-watched
+	if err != ctx.Err() {
+		t.Fatalf("Autotune cancelled during refinement returned %v, want ctx.Err() = %v", err, ctx.Err())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines still running after Autotune returned, %d before it started", n, before)
 	}
 }
 

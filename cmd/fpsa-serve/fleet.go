@@ -100,30 +100,60 @@ func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) er
 	}
 	defer f.Close()
 
-	// models guards the swap state; swaps retrain with a caller-supplied
-	// seed and recompile through the fleet's cache.
-	var mu sync.Mutex
-	models := make(map[string]*fleetModel, len(cfg.Models))
-	for _, mc := range cfg.Models {
+	// Validate the models in config order, up to the first invalid one.
+	modes := make([]fpsa.ExecMode, 0, len(cfg.Models))
+	var invalid error
+	for i := range cfg.Models {
+		mc := &cfg.Models[i]
 		if len(mc.Layers) < 2 {
-			return fmt.Errorf("model %q: layers must name at least input and output dims", mc.Name)
+			invalid = fmt.Errorf("model %q: layers must name at least input and output dims", mc.Name)
+			break
 		}
 		mode := fpsa.ModeSpiking
 		if mc.Mode != "" {
 			if mode, err = parseMode(mc.Mode); err != nil {
-				return fmt.Errorf("model %q: %w", mc.Name, err)
+				invalid = fmt.Errorf("model %q: %w", mc.Name, err)
+				break
 			}
 		}
 		if mc.Epochs <= 0 {
 			mc.Epochs = 40
 		}
-		in, classes := mc.Layers[0], mc.Layers[len(mc.Layers)-1]
-		train, test := fpsa.SyntheticDataset(mc.Seed, 900, in, classes, 0.08).Split(2.0 / 3)
-		net, err := fpsa.TrainMLP(mc.Seed, mc.Layers, train, mc.Epochs)
-		if err != nil {
-			return fmt.Errorf("model %q: %w", mc.Name, err)
+		modes = append(modes, mode)
+	}
+
+	// Training is most of start-up and each model trains from its own
+	// seed, so the valid models train concurrently; compiling, AddModel
+	// and the log lines then follow config order.
+	type trained struct {
+		net         *fpsa.TrainedMLP
+		train, test fpsa.Dataset
+		err         error
+	}
+	nets := make([]trained, len(modes))
+	var wg sync.WaitGroup
+	for i := range nets {
+		wg.Add(1)
+		go func(mc fleetModelConfig, out *trained) {
+			defer wg.Done()
+			in, classes := mc.Layers[0], mc.Layers[len(mc.Layers)-1]
+			out.train, out.test = fpsa.SyntheticDataset(mc.Seed, 900, in, classes, 0.08).Split(2.0 / 3)
+			out.net, out.err = fpsa.TrainMLP(mc.Seed, mc.Layers, out.train, mc.Epochs)
+		}(cfg.Models[i], &nets[i])
+	}
+	wg.Wait()
+
+	// models guards the swap state; swaps retrain with a caller-supplied
+	// seed and recompile through the fleet's cache.
+	var mu sync.Mutex
+	models := make(map[string]*fleetModel, len(cfg.Models))
+	for i, tr := range nets {
+		mc := cfg.Models[i]
+		if tr.err != nil {
+			return fmt.Errorf("model %q: %w", mc.Name, tr.err)
 		}
-		log.Printf("model %q: trained MLP %v, float accuracy %.3f", mc.Name, mc.Layers, net.Accuracy(test))
+		net := tr.net
+		log.Printf("model %q: trained MLP %v, float accuracy %.3f", mc.Name, mc.Layers, net.Accuracy(tr.test))
 		d, err := fpsa.Compile(ctx, net.Model(),
 			fpsa.WithWeightSource(net.WeightSource()), fpsa.WithSeed(mc.Seed), fpsa.WithCache(f.Cache()))
 		if err != nil {
@@ -139,11 +169,14 @@ func runFleet(ctx context.Context, addr, cfgPath string, drain time.Duration) er
 		if mc.QueueDepth > 0 {
 			modelOpts = append(modelOpts, fpsa.WithModelQueueDepth(mc.QueueDepth))
 		}
-		modelOpts = append(modelOpts, fpsa.WithModelEngine(fpsa.WithMode(mode)))
+		modelOpts = append(modelOpts, fpsa.WithModelEngine(fpsa.WithMode(modes[i])))
 		if err := f.AddModel(ctx, mc.Name, d, modelOpts...); err != nil {
 			return fmt.Errorf("model %q: %w", mc.Name, err)
 		}
-		models[mc.Name] = &fleetModel{layers: mc.Layers, epochs: mc.Epochs, train: train, mode: mode}
+		models[mc.Name] = &fleetModel{layers: mc.Layers, epochs: mc.Epochs, train: tr.train, mode: modes[i]}
+	}
+	if invalid != nil {
+		return invalid
 	}
 
 	mux := http.NewServeMux()
